@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lint-report fuzz-smoke serve serve-smoke chaos-smoke wal-smoke shard-smoke replica-smoke bench-mixed bench-shard bench-oracle
+.PHONY: all build test race lint lint-report fuzz-smoke serve serve-smoke chaos-smoke wal-smoke shard-smoke replica-smoke bench bench-mixed bench-shard bench-oracle
 
 all: build test lint
 
@@ -61,6 +61,12 @@ serve-smoke:
 chaos-smoke:
 	$(GO) build -o $(CURDIR)/bin/dsks-serve ./cmd/dsks-serve
 	./scripts/chaos-smoke.sh $(CURDIR)/bin/dsks-serve
+
+# bench runs the repository benchmark (BENCHMARK.json, dsksbench/README.md),
+# built from this checkout's sources; pass its flags with BENCH_ARGS, e.g.
+# make bench BENCH_ARGS="--workload lookup --seed 1 --seconds 20".
+bench:
+	bash dsksbench/run.sh $(BENCH_ARGS)
 
 # bench-mixed mirrors the CI job: boot a cache-disabled server and run
 # the two-phase read-under-write benchmark — read-only baseline, then the

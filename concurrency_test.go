@@ -1,6 +1,7 @@
 package dsks_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -8,8 +9,9 @@ import (
 )
 
 // TestConcurrentQueries runs boolean and diversified queries from many
-// goroutines against one DB. The buffer pools serialize page access
-// internally; results must match the sequential baseline. Run with
+// goroutines against one DB, each worker on its own read view. The buffer
+// pools serialize page access internally; results must match the
+// sequential baseline. Run with
 // `go test -race` to exercise the synchronization.
 func TestConcurrentQueries(t *testing.T) {
 	ds, err := dsks.GeneratePreset(dsks.PresetSYN, 2000, 77)
@@ -28,14 +30,20 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 
 	// Sequential baseline.
+	ctx := context.Background()
+	base, err := db.View(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := make([][]dsks.Candidate, len(ws))
 	for i, q := range ws {
-		res, err := db.Search(dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
+		res, err := base.Search(ctx, dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = res.Candidates
 	}
+	base.Close()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -43,10 +51,16 @@ func TestConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
+			v, err := db.View(ctx)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer v.Close()
 			for rep := 0; rep < 4; rep++ {
 				i := (worker + rep) % len(ws)
 				q := ws[i]
-				res, err := db.Search(dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
+				res, err := v.Search(ctx, dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
 				if err != nil {
 					errs <- err
 					return
@@ -57,7 +71,7 @@ func TestConcurrentQueries(t *testing.T) {
 					return
 				}
 				// Diversified queries interleaved too.
-				if _, err := db.SearchDiversified(dsks.DivQuery{
+				if _, err := v.SearchDiversified(ctx, dsks.DivQuery{
 					SKQuery: dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax},
 					K:       4, Lambda: 0.8,
 				}); err != nil {

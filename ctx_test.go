@@ -20,35 +20,37 @@ func poolLogicalReads(db *dsks.DB) int64 {
 }
 
 // TestPreCanceledQueries: a context canceled before the query starts must
-// fail with ErrCanceled before touching any buffer pool.
+// fail with ErrCanceled before touching any buffer pool, even on a view
+// opened under a live context.
 func TestPreCanceledQueries(t *testing.T) {
 	db, vocab, origin, _ := buildTinyCity(t)
 	terms, err := vocab.LookupAll([]string{"pizza"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := openView(t, db)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
 	skq := dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500}
 	queries := map[string]func() error{
-		"search": func() error { _, err := db.SearchCtx(ctx, skq); return err },
+		"search": func() error { _, err := v.Search(ctx, skq); return err },
 		"diversified": func() error {
-			_, err := db.SearchDiversifiedCtx(ctx, dsks.DivQuery{SKQuery: skq, K: 2, Lambda: 0.5})
+			_, err := v.SearchDiversified(ctx, dsks.DivQuery{SKQuery: skq, K: 2, Lambda: 0.5})
 			return err
 		},
 		"knn": func() error {
-			_, err := db.SearchKNNCtx(ctx, dsks.KNNQuery{Pos: origin, Terms: terms, K: 2})
+			_, err := v.SearchKNN(ctx, dsks.KNNQuery{Pos: origin, Terms: terms, K: 2})
 			return err
 		},
 		"ranked": func() error {
-			_, err := db.SearchRankedCtx(ctx, dsks.RankedQuery{
+			_, err := v.SearchRanked(ctx, dsks.RankedQuery{
 				Pos: origin, Terms: terms, K: 2, Alpha: 0.5, DeltaMax: 500,
 			})
 			return err
 		},
 		"collective": func() error {
-			_, err := db.SearchCollectiveCtx(ctx, dsks.CollectiveQuery{
+			_, err := v.SearchCollective(ctx, dsks.CollectiveQuery{
 				Pos: origin, Terms: terms, DeltaMax: 500,
 			})
 			return err
@@ -98,11 +100,12 @@ func TestDeadlineExceededMidExpansion(t *testing.T) {
 		t.Fatal(err)
 	}
 	anchor := ds.Objects.Get(0)
+	v := openView(t, db)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	// An unbounded range forces the expansion over the whole network:
 	// hundreds of cold page misses at 1ms each, far past the 5ms deadline.
-	_, err = db.SearchCtx(ctx, dsks.SKQuery{
+	_, err = v.Search(ctx, dsks.SKQuery{
 		Pos: anchor.Pos, Terms: anchor.Terms[:1], DeltaMax: 1e9,
 	})
 	if !errors.Is(err, dsks.ErrDeadlineExceeded) {
@@ -125,7 +128,7 @@ func TestStreamStopThenNext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := db.Stream(dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
+	s, err := openView(t, db).Stream(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +148,8 @@ func TestStreamStopThenNext(t *testing.T) {
 	}
 }
 
-// TestStreamCtxCanceled: canceling the stream's context makes the next
-// pull fail with ErrCanceled.
+// TestStreamCtxCanceled: canceling the context a stream was started with
+// (View.Stream) makes the next pull fail with ErrCanceled.
 func TestStreamCtxCanceled(t *testing.T) {
 	db, vocab, origin, _ := buildTinyCity(t)
 	terms, err := vocab.LookupAll([]string{"pizza"})
@@ -154,7 +157,7 @@ func TestStreamCtxCanceled(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	s, err := db.StreamCtx(ctx, dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
+	s, err := openView(t, db).Stream(ctx, dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,29 +198,31 @@ func TestMetricsMatchGroundTruth(t *testing.T) {
 		tr.reads += res.DiskReads
 	}
 
+	ctx := context.Background()
+	v := openView(t, db)
 	for i := 0; i < 3; i++ {
-		res, err := db.Search(skq)
+		res, err := v.Search(ctx, skq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		add(dsks.KindSearch, res)
 	}
-	div, err := db.SearchDiversified(dsks.DivQuery{SKQuery: skq, K: 2, Lambda: 0.5})
+	div, err := v.SearchDiversified(ctx, dsks.DivQuery{SKQuery: skq, K: 2, Lambda: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	add(dsks.KindDiversified, div)
-	knn, err := db.SearchKNN(dsks.KNNQuery{Pos: origin, Terms: terms, K: 2})
+	knn, err := v.SearchKNN(ctx, dsks.KNNQuery{Pos: origin, Terms: terms, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	add(dsks.KindKNN, knn)
-	rk, err := db.SearchRanked(dsks.RankedQuery{Pos: origin, Terms: terms, K: 2, Alpha: 0.5, DeltaMax: 500})
+	rk, err := v.SearchRanked(ctx, dsks.RankedQuery{Pos: origin, Terms: terms, K: 2, Alpha: 0.5, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
 	add(dsks.KindRanked, rk)
-	cl, err := db.SearchCollective(dsks.CollectiveQuery{Pos: origin, Terms: terms, DeltaMax: 500})
+	cl, err := v.SearchCollective(ctx, dsks.CollectiveQuery{Pos: origin, Terms: terms, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +253,7 @@ func TestMetricsMatchGroundTruth(t *testing.T) {
 	}
 }
 
-// TestMetricsConcurrent hammers one DB from several goroutines; with
+// TestMetricsConcurrent hammers one view from several goroutines; with
 // -race this validates the lock-free recording path end to end.
 func TestMetricsConcurrent(t *testing.T) {
 	db, vocab, origin, _ := buildTinyCity(t)
@@ -257,6 +262,7 @@ func TestMetricsConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	skq := dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500}
+	v := openView(t, db)
 	const workers = 4
 	const perWorker = 25
 	var wg sync.WaitGroup
@@ -265,7 +271,7 @@ func TestMetricsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if _, err := db.Search(skq); err != nil {
+				if _, err := v.Search(context.Background(), skq); err != nil {
 					t.Error(err)
 					return
 				}
@@ -297,10 +303,12 @@ func TestTraceHook(t *testing.T) {
 		mu.Unlock()
 	})
 	skq := dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500}
-	if _, err := db.Search(skq); err != nil {
+	ctx := context.Background()
+	v := openView(t, db)
+	if _, err := v.Search(ctx, skq); err != nil {
 		t.Fatal(err)
 	}
-	div, err := db.SearchDiversified(dsks.DivQuery{SKQuery: skq, K: 2, Lambda: 0.5})
+	div, err := v.SearchDiversified(ctx, dsks.DivQuery{SKQuery: skq, K: 2, Lambda: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +328,7 @@ func TestTraceHook(t *testing.T) {
 	// Uninstall: no further calls.
 	db.SetTraceHook(nil)
 	before := len(seen)
-	if _, err := db.Search(skq); err != nil {
+	if _, err := v.Search(ctx, skq); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != before {
@@ -358,8 +366,8 @@ func TestOpenBadOptions(t *testing.T) {
 	}
 }
 
-// TestTypedErrors: the mutation paths report sentinel errors usable with
-// errors.Is.
+// TestTypedErrors: the mutation and query paths report sentinel errors
+// usable with errors.Is.
 func TestTypedErrors(t *testing.T) {
 	db, vocab, _, edges := buildTinyCity(t)
 	terms, err := vocab.LookupAll([]string{"pizza"})
@@ -379,29 +387,71 @@ func TestTypedErrors(t *testing.T) {
 	// The query paths classify the same violations instead of letting the
 	// index structures hit them unguarded (a term beyond the vocabulary
 	// used to panic inside the SIF signature test).
+	ctx := context.Background()
+	v := openView(t, db)
 	badEdge := dsks.SKQuery{Pos: dsks.Position{Edge: 999, Offset: 0}, Terms: terms, DeltaMax: 100}
-	if _, err := db.Search(badEdge); !errors.Is(err, dsks.ErrUnknownEdge) {
+	if _, err := v.Search(ctx, badEdge); !errors.Is(err, dsks.ErrUnknownEdge) {
 		t.Errorf("search on bad edge: err = %v, want ErrUnknownEdge", err)
 	}
 	badTerm := dsks.SKQuery{Pos: dsks.Position{Edge: edges[0], Offset: 0}, Terms: []dsks.TermID{9999}, DeltaMax: 100}
-	if _, err := db.Search(badTerm); !errors.Is(err, dsks.ErrTermOutOfRange) {
+	if _, err := v.Search(ctx, badTerm); !errors.Is(err, dsks.ErrTermOutOfRange) {
 		t.Errorf("search with bad term: err = %v, want ErrTermOutOfRange", err)
 	}
-	if _, err := db.SearchDiversified(dsks.DivQuery{SKQuery: badTerm, K: 2, Lambda: 0.5}); !errors.Is(err, dsks.ErrTermOutOfRange) {
+	if _, err := v.SearchDiversified(ctx, dsks.DivQuery{SKQuery: badTerm, K: 2, Lambda: 0.5}); !errors.Is(err, dsks.ErrTermOutOfRange) {
 		t.Errorf("diversified search with bad term: err = %v, want ErrTermOutOfRange", err)
 	}
-	if _, err := db.SearchKNN(dsks.KNNQuery{Pos: badTerm.Pos, Terms: badTerm.Terms, K: 2}); !errors.Is(err, dsks.ErrTermOutOfRange) {
+	if _, err := v.SearchKNN(ctx, dsks.KNNQuery{Pos: badTerm.Pos, Terms: badTerm.Terms, K: 2}); !errors.Is(err, dsks.ErrTermOutOfRange) {
 		t.Errorf("kNN search with bad term: err = %v, want ErrTermOutOfRange", err)
 	}
-	if _, err := db.SearchRanked(dsks.RankedQuery{Pos: badTerm.Pos, Terms: badTerm.Terms, K: 2, Alpha: 0.5, DeltaMax: 100}); !errors.Is(err, dsks.ErrTermOutOfRange) {
+	if _, err := v.SearchRanked(ctx, dsks.RankedQuery{Pos: badTerm.Pos, Terms: badTerm.Terms, K: 2, Alpha: 0.5, DeltaMax: 100}); !errors.Is(err, dsks.ErrTermOutOfRange) {
 		t.Errorf("ranked search with bad term: err = %v, want ErrTermOutOfRange", err)
 	}
-	if _, err := db.SearchCollective(dsks.CollectiveQuery{Pos: badTerm.Pos, Terms: badTerm.Terms, DeltaMax: 100}); !errors.Is(err, dsks.ErrTermOutOfRange) {
+	if _, err := v.SearchCollective(ctx, dsks.CollectiveQuery{Pos: badTerm.Pos, Terms: badTerm.Terms, DeltaMax: 100}); !errors.Is(err, dsks.ErrTermOutOfRange) {
 		t.Errorf("collective search with bad term: err = %v, want ErrTermOutOfRange", err)
 	}
-	if _, err := db.Stream(badTerm); !errors.Is(err, dsks.ErrTermOutOfRange) {
+	if _, err := v.Stream(ctx, badTerm); !errors.Is(err, dsks.ErrTermOutOfRange) {
 		t.Errorf("stream with bad term: err = %v, want ErrTermOutOfRange", err)
 	}
+
+	// Network distance classifies a bad edge, a done context and an
+	// unreachable pair.
+	if _, err := v.NetworkDistance(ctx, badEdge.Pos, badTerm.Pos); !errors.Is(err, dsks.ErrUnknownEdge) {
+		t.Errorf("distance from bad edge: err = %v, want ErrUnknownEdge", err)
+	}
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := v.NetworkDistance(canceled, badTerm.Pos, badTerm.Pos); !errors.Is(err, dsks.ErrCanceled) {
+		t.Errorf("distance under a canceled context: err = %v, want ErrCanceled", err)
+	}
+	split, a, b := twoIslands(t)
+	if _, err := openView(t, split).NetworkDistance(ctx, a, b); !errors.Is(err, dsks.ErrNoPath) {
+		t.Errorf("distance across disconnected roads: err = %v, want ErrNoPath", err)
+	}
+}
+
+// twoIslands builds a database on two disconnected road segments and
+// returns a position on each.
+func twoIslands(t *testing.T) (*dsks.DB, dsks.Position, dsks.Position) {
+	t.Helper()
+	g := dsks.NewGraph()
+	var edges [2]dsks.EdgeID
+	for i := range edges {
+		y := float64(500 * i)
+		e, err := g.AddEdge(g.AddNode(dsks.Point{X: 0, Y: y}), g.AddNode(dsks.Point{X: 100, Y: y}), 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges[i] = e
+	}
+	g.Freeze()
+	vocab := dsks.NewVocabulary()
+	objects := dsks.NewCollection()
+	objects.Add(dsks.Position{Edge: edges[0], Offset: 10}, vocab.InternAll([]string{"x"}))
+	db, err := dsks.Open(g, objects, vocab.Size(), dsks.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, dsks.Position{Edge: edges[0]}, dsks.Position{Edge: edges[1]}
 }
 
 // TestInsertClampRegression: inserting with an out-of-range offset must
@@ -435,7 +485,9 @@ func TestInsertClampRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Search(dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 1e6})
+	ctx := context.Background()
+	v := openView(t, db)
+	res, err := v.Search(ctx, dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +501,10 @@ func TestInsertClampRegression(t *testing.T) {
 	if got := c.Ref.Pos().Offset; got < 0 || got > 100 {
 		t.Errorf("stored offset %v not clamped to the edge", got)
 	}
-	exact := db.NetworkDistance(origin, c.Ref.Pos())
+	exact, err := v.NetworkDistance(ctx, origin, c.Ref.Pos())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if diff := c.Dist - exact; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("query distance %v != exact network distance %v", c.Dist, exact)
 	}

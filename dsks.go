@@ -5,22 +5,22 @@
 // A database is built from a road network (a weighted graph whose edges
 // are road segments) and a set of spatio-textual objects lying on those
 // edges. Boolean spatial keyword queries retrieve the objects within a
-// network-distance range that contain every query keyword (Search);
+// network-distance range that contain every query keyword (View.Search);
 // diversified queries additionally select the k results maximizing a
 // bi-criteria objective that trades network-distance relevance against
-// pairwise spatial diversity (SearchDiversified).
+// pairwise spatial diversity (View.SearchDiversified).
 //
 // The disk-resident setting of the paper is simulated faithfully: the
 // network is stored in CCAM pages, objects in a signature-enhanced
 // inverted file, and all page reads flow through an LRU buffer pool whose
 // misses are reported as disk accesses.
 //
-// Every query has a context-aware variant (SearchCtx, SearchDiversifiedCtx,
-// ...) that honors cancellation and deadlines: the network expansion checks
-// the context between steps and before every simulated disk read, so a
-// canceled query stops promptly and returns an error matching ErrCanceled
-// or ErrDeadlineExceeded under errors.Is. The context-free methods are thin
-// wrappers over context.Background(). Per-query latencies, work counters
+// Every query runs on a View, a consistent snapshot opened with DB.View and
+// released with View.Close. Each query method takes a context and honors
+// its cancellation and deadline: the network expansion checks the context
+// between steps and before every simulated disk read, so a canceled query
+// stops promptly and returns an error matching ErrCanceled or
+// ErrDeadlineExceeded under errors.Is. Per-query latencies, work counters
 // and buffer-pool hit rates are aggregated in a lock-free metrics registry
 // (Metrics, Snapshot); per-query stage timings can be observed with
 // SetTraceHook.
@@ -40,7 +40,10 @@
 //
 //	db, _ := dsks.Open(g, objects, vocab.Size(), dsks.Options{})
 //	terms, _ := vocab.LookupAll([]string{"pancake", "lobster"})
-//	res, _ := db.SearchDiversified(dsks.DivQuery{
+//	ctx := context.Background()
+//	v, _ := db.View(ctx)
+//	defer v.Close()
+//	res, _ := v.SearchDiversified(ctx, dsks.DivQuery{
 //	    SKQuery: dsks.SKQuery{
 //	        Pos: dsks.Position{Edge: road, Offset: 0}, Terms: terms, DeltaMax: 500,
 //	    },
@@ -49,10 +52,8 @@
 package dsks
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -324,8 +325,8 @@ func (o Options) validate() error {
 // published LSN, and a mutation burst never blocks the read path (see
 // docs/CONCURRENCY.md for the full protocol).
 //
-// Open a View explicitly for multi-query consistency, or call the one-shot
-// Search* methods, which open and close a view per call.
+// Every query runs on a View: open one with View, run any number of
+// queries against its snapshot, and Close it.
 type DB struct {
 	sys  *harness.System
 	kind IndexKind
@@ -587,88 +588,9 @@ func (db *DB) checkQuery(pos Position, terms []TermID) error {
 	return nil
 }
 
-// Search runs a boolean spatial keyword query: all objects within
-// q.DeltaMax network distance containing every keyword of q.Terms,
-// in non-decreasing distance order.
-//
-// Deprecated-style convenience: prefer View (for multi-query consistency)
-// or SearchCtx (for cancellation); this delegates to SearchCtx with
-// context.Background().
-func (db *DB) Search(q SKQuery) (Result, error) {
-	return db.SearchCtx(context.Background(), q)
-}
-
-// SearchCtx is Search honoring the context's cancellation and deadline.
-// It opens a view for the single call; use View directly to run several
-// queries against one consistent snapshot.
-func (db *DB) SearchCtx(ctx context.Context, q SKQuery) (Result, error) {
-	v, err := db.View(ctx)
-	if err != nil {
-		return Result{}, err
-	}
-	defer v.Close()
-	return v.Search(ctx, q)
-}
-
-// SearchDiversified runs a diversified spatial keyword query with the
-// incremental COM algorithm (Algorithm 6 of the paper).
-//
-// Deprecated-style convenience: prefer View or SearchDiversifiedCtx; this
-// delegates with context.Background().
-func (db *DB) SearchDiversified(q DivQuery) (Result, error) {
-	return db.SearchDiversifiedWithCtx(context.Background(), AlgoCOM, q)
-}
-
-// SearchDiversifiedCtx is SearchDiversified honoring the context's
-// cancellation and deadline.
-func (db *DB) SearchDiversifiedCtx(ctx context.Context, q DivQuery) (Result, error) {
-	return db.SearchDiversifiedWithCtx(ctx, AlgoCOM, q)
-}
-
-// SearchDiversifiedWith runs a diversified query with an explicit
-// algorithm choice (COM or the SEQ baseline).
-//
-// Deprecated-style convenience: prefer View or SearchDiversifiedWithCtx;
-// this delegates with context.Background().
-func (db *DB) SearchDiversifiedWith(algo Algo, q DivQuery) (Result, error) {
-	return db.SearchDiversifiedWithCtx(context.Background(), algo, q)
-}
-
-// SearchDiversifiedWithCtx is SearchDiversifiedWith honoring the context's
-// cancellation and deadline. It opens a view for the single call.
-func (db *DB) SearchDiversifiedWithCtx(ctx context.Context, algo Algo, q DivQuery) (Result, error) {
-	v, err := db.View(ctx)
-	if err != nil {
-		return Result{}, err
-	}
-	defer v.Close()
-	return v.SearchDiversifiedWith(ctx, algo, q)
-}
-
 // KNNQuery is a k-nearest-neighbor boolean spatial keyword query: the K
 // closest objects containing every keyword, with an optional distance cap.
 type KNNQuery = core.KNNQuery
-
-// SearchKNN returns the k nearest objects containing every query keyword,
-// in non-decreasing network distance. The expansion stops as soon as the
-// k-th match is emitted.
-//
-// Deprecated-style convenience: prefer View or SearchKNNCtx; this
-// delegates with context.Background().
-func (db *DB) SearchKNN(q KNNQuery) (Result, error) {
-	return db.SearchKNNCtx(context.Background(), q)
-}
-
-// SearchKNNCtx is SearchKNN honoring the context's cancellation and
-// deadline. It opens a view for the single call.
-func (db *DB) SearchKNNCtx(ctx context.Context, q KNNQuery) (Result, error) {
-	v, err := db.View(ctx)
-	if err != nil {
-		return Result{}, err
-	}
-	defer v.Close()
-	return v.SearchKNN(ctx, q)
-}
 
 // RankedQuery is a top-k ranked spatial keyword query: objects scored by
 // α·spatial-proximity + (1−α)·keyword-overlap, OR semantics.
@@ -676,28 +598,6 @@ type RankedQuery = core.RankedQuery
 
 // RankedResult is one scored object of a ranked query.
 type RankedResult = core.RankedResult
-
-// SearchRanked runs the top-k ranked spatial keyword query and returns the
-// scored objects in Result.Ranked. It requires an index with OR-semantics
-// support (IF, SIF or SIF-P); others fail with an error matching
-// ErrUnsupportedIndex.
-//
-// Deprecated-style convenience: prefer View or SearchRankedCtx; this
-// delegates with context.Background().
-func (db *DB) SearchRanked(q RankedQuery) (Result, error) {
-	return db.SearchRankedCtx(context.Background(), q)
-}
-
-// SearchRankedCtx is SearchRanked honoring the context's cancellation and
-// deadline. It opens a view for the single call.
-func (db *DB) SearchRankedCtx(ctx context.Context, q RankedQuery) (Result, error) {
-	v, err := db.View(ctx)
-	if err != nil {
-		return Result{}, err
-	}
-	defer v.Close()
-	return v.SearchRanked(ctx, q)
-}
 
 // errUnsupportedQuery reports a query family the index kind cannot serve.
 func errUnsupportedQuery(family string, kind IndexKind) error {
@@ -712,39 +612,15 @@ type CollectiveQuery = core.CollectiveQuery
 // CollectiveResult is a chosen keyword-covering group.
 type CollectiveResult = core.CollectiveResult
 
-// SearchCollective finds a keyword-covering group with the ln|T|-
-// approximate weighted set-cover greedy and returns it in
-// Result.Collective. It requires an index with OR-semantics support (IF,
-// SIF or SIF-P); others fail with an error matching ErrUnsupportedIndex.
-//
-// Deprecated-style convenience: prefer View or SearchCollectiveCtx; this
-// delegates with context.Background().
-func (db *DB) SearchCollective(q CollectiveQuery) (Result, error) {
-	return db.SearchCollectiveCtx(context.Background(), q)
-}
-
-// SearchCollectiveCtx is SearchCollective honoring the context's
-// cancellation and deadline. It opens a view for the single call.
-func (db *DB) SearchCollectiveCtx(ctx context.Context, q CollectiveQuery) (Result, error) {
-	v, err := db.View(ctx)
-	if err != nil {
-		return Result{}, err
-	}
-	defer v.Close()
-	return v.SearchCollective(ctx, q)
-}
-
 // Stream is an incremental boolean search: candidates are pulled one at a
 // time in non-decreasing network distance, so a consumer can stop early
-// (the access pattern Algorithm 6 exploits internally). A stream created
-// with StreamCtx stops with an error matching ErrCanceled or
-// ErrDeadlineExceeded once its context ends.
+// (the access pattern Algorithm 6 exploits internally). A stream stops
+// with an error matching ErrCanceled or ErrDeadlineExceeded once the
+// context passed to View.Stream ends.
 //
-// A stream reads a pinned snapshot: one obtained from DB.Stream/StreamCtx
-// owns a private View released when the stream finishes, and one obtained
-// from View.Stream reads that view (which must stay open for the stream's
-// lifetime). Either way, concurrent Insert/Remove calls neither block the
-// stream nor change what it returns.
+// A stream reads the pinned snapshot of the View that started it, which
+// must stay open for the stream's lifetime; concurrent Insert/Remove
+// calls neither block the stream nor change what it returns.
 type Stream struct {
 	search *core.SKSearch
 	sys    *harness.System
@@ -752,32 +628,6 @@ type Stream struct {
 	start  time.Time
 	before int64
 	done   bool
-	// view, when non-nil, is owned by the stream and closed on finish.
-	view *View
-}
-
-// Stream starts an incremental boolean search.
-//
-// Deprecated-style convenience: prefer View.Stream or StreamCtx; this
-// delegates with context.Background().
-func (db *DB) Stream(q SKQuery) (*Stream, error) {
-	return db.StreamCtx(context.Background(), q)
-}
-
-// StreamCtx is Stream honoring the context's cancellation and deadline:
-// the context is checked on every Next. The stream owns a private view of
-// the current version and releases it when exhausted, stopped, or failed.
-func (db *DB) StreamCtx(ctx context.Context, q SKQuery) (*Stream, error) {
-	v, err := db.View(ctx)
-	if err != nil {
-		return nil, err
-	}
-	s, err := v.stream(ctx, q, true)
-	if err != nil {
-		v.Close()
-		return nil, err
-	}
-	return s, nil
 }
 
 // Next returns the next candidate; ok is false when the stream is done.
@@ -801,16 +651,12 @@ func (s *Stream) Stats() SearchStats { return s.search.Stats() }
 // Trace returns the stream's stage timings so far.
 func (s *Stream) Trace() Trace { return s.search.Trace() }
 
-// finish records the stream's metrics sample exactly once and releases
-// the stream-owned view, if any.
+// finish records the stream's metrics sample exactly once.
 func (s *Stream) finish(err error) {
 	if s.done {
 		return
 	}
 	s.done = true
-	if s.view != nil {
-		s.view.Close()
-	}
 	stats := s.search.Stats()
 	s.sys.Metrics.Record(KindStream, metrics.Sample{
 		Elapsed:       time.Since(s.start),
@@ -1204,43 +1050,6 @@ func (db *DB) DurableLSN() uint64 {
 		return 0
 	}
 	return db.wal.DurableLSN()
-}
-
-// NetworkDistance returns the exact network distance between two
-// positions (exposed for inspection and testing; computed in memory).
-// Unreachable pairs report +Inf; use NetworkDistanceCtx for an error-
-// carrying form.
-//
-//lint:ignore ctxpair the arities differ: this form folds every error into +Inf
-func (db *DB) NetworkDistance(a, b Position) float64 {
-	d, err := db.NetworkDistanceCtx(context.Background(), a, b)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return d
-}
-
-// NetworkDistanceCtx returns the exact network distance between two
-// positions, honoring the context and reporting unreachable pairs: a pair
-// no chain of road segments connects fails with an error matching
-// ErrNoPath, and a done context fails with an error matching ErrCanceled
-// or ErrDeadlineExceeded. Positions on edges outside the network fail
-// with an error matching ErrUnknownEdge.
-func (db *DB) NetworkDistanceCtx(ctx context.Context, a, b Position) (float64, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return 0, err
-	}
-	g := db.sys.DS.Graph
-	for _, p := range [2]Position{a, b} {
-		if p.Edge < 0 || int(p.Edge) >= g.NumEdges() {
-			return 0, fmt.Errorf("dsks: network distance at edge %d: %w", p.Edge, ErrUnknownEdge)
-		}
-	}
-	d := g.NetworkDist(a, b)
-	if math.IsInf(d, 1) {
-		return 0, fmt.Errorf("dsks: network distance between edges %d and %d: %w", a.Edge, b.Edge, ErrNoPath)
-	}
-	return d, nil
 }
 
 // Route is a least-cost path between two network positions.

@@ -1,6 +1,7 @@
 package dsks_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -40,13 +41,24 @@ func buildTinyCity(t testing.TB) (*dsks.DB, *dsks.Vocabulary, dsks.Position, []d
 	return db, vocab, dsks.Position{Edge: edges[0], Offset: 0}, edges
 }
 
+// openView opens a read view on db that the test's cleanup closes.
+func openView(t testing.TB, db *dsks.DB) *dsks.View {
+	t.Helper()
+	v, err := db.View(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(v.Close)
+	return v
+}
+
 func TestPublicSearch(t *testing.T) {
 	db, vocab, origin, _ := buildTinyCity(t)
 	terms, err := vocab.LookupAll([]string{"pizza", "pasta"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Search(dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
+	res, err := openView(t, db).Search(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +80,7 @@ func TestPublicSearchRangeLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Search(dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 30})
+	res, err := openView(t, db).Search(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +100,13 @@ func TestPublicDiversified(t *testing.T) {
 		K:       2,
 		Lambda:  0.3, // diversity-leaning: expect the far place in the pair
 	}
-	com, err := db.SearchDiversified(q)
+	ctx := context.Background()
+	v := openView(t, db)
+	com, err := v.SearchDiversified(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := db.SearchDiversifiedWith(dsks.AlgoSEQ, q)
+	seq, err := v.SearchDiversifiedWith(ctx, dsks.AlgoSEQ, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +143,7 @@ func TestPublicAllIndexKinds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := db.Search(dsks.SKQuery{Pos: dsks.Position{Edge: e}, Terms: terms, DeltaMax: 100})
+		res, err := openView(t, db).Search(context.Background(), dsks.SKQuery{Pos: dsks.Position{Edge: e}, Terms: terms, DeltaMax: 100})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -163,8 +177,9 @@ func TestPublicGenerateAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := openView(t, db)
 	for _, q := range ws {
-		if _, err := db.Search(dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax}); err != nil {
+		if _, err := v.Search(context.Background(), dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,8 +192,9 @@ func TestPublicNetworkDistance(t *testing.T) {
 	db, _, _, edges := buildTinyCity(t)
 	a := dsks.Position{Edge: edges[0], Offset: 0}
 	b := dsks.Position{Edge: edges[0], Offset: 100}
-	if d := db.NetworkDistance(a, b); math.Abs(d-100) > 1e-9 {
-		t.Errorf("NetworkDistance = %v, want 100", d)
+	d, err := openView(t, db).NetworkDistance(context.Background(), a, b)
+	if err != nil || math.Abs(d-100) > 1e-9 {
+		t.Errorf("NetworkDistance = %v, %v; want 100", d, err)
 	}
 }
 
@@ -202,13 +218,15 @@ func TestPublicOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
+	memView, diskView := openView(t, mem), openView(t, disk)
 	for _, q := range ws {
 		skq := dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax}
-		a, err := mem.Search(skq)
+		a, err := memView.Search(ctx, skq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := disk.Search(skq)
+		b, err := diskView.Search(ctx, skq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,8 +250,12 @@ func TestPublicShortestRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(r.Cost-db.NetworkDistance(a, b)) > 1e-9 {
-		t.Fatalf("route cost %v vs distance %v", r.Cost, db.NetworkDistance(a, b))
+	d, err := openView(t, db).NetworkDistance(context.Background(), a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(r.Cost-d) > 1e-9 {
+		t.Fatalf("route cost %v vs distance %v", r.Cost, d)
 	}
 	if len(r.Edges) < 2 {
 		t.Fatalf("route = %+v", r)

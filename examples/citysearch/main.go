@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	fmt.Println("generating a San-Francisco-like city (1/400 of paper scale)...")
 	ds, err := dsks.GeneratePreset(dsks.PresetSF, 400, 7)
 	if err != nil {
@@ -48,11 +50,18 @@ func main() {
 		if err := db.ResetIO(); err != nil {
 			log.Fatal(err)
 		}
+		// Every query runs on a read view: a consistent snapshot of the
+		// database, released with Close.
+		v, err := db.View(ctx)
+		if err != nil {
+			log.Fatal(err)
+		}
 		for _, q := range queries {
-			if _, err := db.Search(dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax}); err != nil {
+			if _, err := v.Search(ctx, dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax}); err != nil {
 				log.Fatal(err)
 			}
 		}
+		v.Close()
 		// The per-query accounting lives in the metrics registry: latency
 		// quantiles and cost counters per query kind, hit rates per pool.
 		snap := db.Snapshot()
@@ -69,8 +78,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	v, err := db.View(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer v.Close()
 	q := queries[0]
-	res, err := db.Search(dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
+	res, err := v.Search(ctx, dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -98,11 +98,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// A serving path would bound every lookup; the context-aware variant
-	// aborts cleanly if the deadline passes mid-expansion.
+	// A serving path would bound every lookup; the query aborts cleanly
+	// if the deadline passes mid-expansion.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	res, err := db.SearchKNNCtx(ctx, dsks.KNNQuery{Pos: luigi, Terms: terms, K: 5})
+	v, err := db.View(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer v.Close()
+	res, err := v.SearchKNN(ctx, dsks.KNNQuery{Pos: luigi, Terms: terms, K: 5})
 	if err != nil {
 		log.Fatal(err)
 	}

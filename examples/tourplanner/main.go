@@ -37,11 +37,22 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// Every query runs inside one read view, so the whole tour is scored
+	// against the same pinned snapshot even if hotels were being inserted
+	// concurrently — comparing picks across λ or algorithms only makes
+	// sense when every query saw identical data.
+	ctx := context.Background()
+	view, err := db.View(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer view.Close() // release the pin so storage can reclaim old versions
+
 	// Find a workload query with a healthy number of matches to narrate.
 	var venue dsks.WorkloadQuery
 	best := 0
 	for _, q := range queries {
-		res, err := db.Search(dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
+		res, err := view.Search(ctx, dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,16 +67,7 @@ func main() {
 	fmt.Printf("venue on street %d; %d hotels offer amenities %v within %.0fm\n\n",
 		venue.Pos.Edge, best, venue.Terms, venue.DeltaMax)
 
-	// λ sweep: higher λ favours closeness, lower λ favours spread. The
-	// whole sweep runs inside one read view, so every λ is scored against
-	// the same pinned snapshot even if hotels were being inserted
-	// concurrently — comparing picks across λ only makes sense when all
-	// three queries saw identical data.
-	ctx := context.Background()
-	view, err := db.View(ctx)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// λ sweep: higher λ favours closeness, lower λ favours spread.
 	fmt.Printf("effect of the relevance/diversity trade-off (k = 4, snapshot LSN %d):\n", view.LSN())
 	for _, lambda := range []float64{0.9, 0.7, 0.5} {
 		res, err := view.SearchDiversified(ctx, dsks.DivQuery{
@@ -96,7 +98,6 @@ func main() {
 		fmt.Printf("  λ = %.1f: f = %.3f, avg hotel distance %5.0fm, closest pair %5.0fm apart\n",
 			lambda, res.F, avgDist, minPair)
 	}
-	view.Close() // release the pin so storage can reclaim old versions
 
 	// COM vs SEQ over the whole workload (k = 10, λ = 0.8 — the paper's
 	// defaults). COM prunes and terminates early; SEQ retrieves everything.
@@ -109,7 +110,7 @@ func main() {
 		var reads, pruned int64
 		var early int
 		for _, q := range queries {
-			res, err := db.SearchDiversifiedWith(algo, dsks.DivQuery{
+			res, err := view.SearchDiversifiedWith(ctx, algo, dsks.DivQuery{
 				SKQuery: dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax},
 				K:       10,
 				Lambda:  0.8,
@@ -131,10 +132,10 @@ func main() {
 	}
 
 	// An interactive planner wants to abandon a query the moment the user
-	// navigates away: every search has a context-aware variant.
-	ctx, cancel := context.WithCancel(context.Background())
+	// navigates away: every query honors its context.
+	gone, cancel := context.WithCancel(ctx)
 	cancel() // the user already left
-	_, err = db.SearchDiversifiedCtx(ctx, dsks.DivQuery{
+	_, err = view.SearchDiversified(gone, dsks.DivQuery{
 		SKQuery: dsks.SKQuery{Pos: venue.Pos, Terms: venue.Terms, DeltaMax: venue.DeltaMax},
 		K:       4,
 		Lambda:  0.8,

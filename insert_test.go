@@ -1,6 +1,7 @@
 package dsks_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -33,7 +34,9 @@ func TestInsertVisibleToQueries(t *testing.T) {
 			}
 
 			origin := dsks.Position{Edge: e.ID, Offset: 0}
-			res, err := db.Search(dsks.SKQuery{Pos: origin, Terms: normalized(terms), DeltaMax: 1e9})
+			ctx := context.Background()
+			v := openView(t, db)
+			res, err := v.Search(ctx, dsks.SKQuery{Pos: origin, Terms: normalized(terms), DeltaMax: 1e9})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,7 +44,10 @@ func TestInsertVisibleToQueries(t *testing.T) {
 			for _, c := range res.Candidates {
 				if c.Ref.ID == id {
 					found = true
-					want := db.NetworkDistance(origin, pos)
+					want, err := v.NetworkDistance(ctx, origin, pos)
+					if err != nil {
+						t.Fatal(err)
+					}
 					if math.Abs(c.Dist-want) > 1e-6 {
 						t.Fatalf("inserted object at %v, want %v", c.Dist, want)
 					}
@@ -89,7 +95,7 @@ func TestInsertGrowsExistingList(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := db.Search(dsks.SKQuery{Pos: dsks.Position{Edge: e}, Terms: terms, DeltaMax: 1e9})
+	res, err := openView(t, db).Search(context.Background(), dsks.SKQuery{Pos: dsks.Position{Edge: e}, Terms: terms, DeltaMax: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +154,12 @@ func TestRemoveHidesFromQueries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ctx := context.Background()
+			v := openView(t, db)
 			ran := false
 			for _, wq := range ws {
 				q := dsks.SKQuery{Pos: wq.Pos, Terms: wq.Terms, DeltaMax: wq.DeltaMax}
-				before, err := db.Search(q)
+				before, err := v.Search(ctx, q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,7 +170,7 @@ func TestRemoveHidesFromQueries(t *testing.T) {
 				if err := db.Remove(victim); err != nil {
 					t.Fatal(err)
 				}
-				after, err := db.Search(q)
+				after, err := openView(t, db).Search(ctx, q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -208,7 +216,7 @@ func TestInsertAfterRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Search(dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
+	res, err := openView(t, db).Search(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,6 +247,7 @@ func TestMixedReadWriteWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, col := ds.Graph, ds.Objects
+	ctx := context.Background()
 	rng := randNew(17)
 	var inserted []dsks.ObjectID
 	for step := 0; step < 120; step++ {
@@ -276,7 +285,12 @@ func TestMixedReadWriteWorkload(t *testing.T) {
 				terms = terms[:2]
 			}
 			q := dsks.SKQuery{Pos: anchor.Pos, Terms: terms, DeltaMax: 800}
-			res, err := db.Search(q)
+			v, err := db.View(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := v.Search(ctx, q)
+			v.Close()
 			if err != nil {
 				t.Fatal(err)
 			}

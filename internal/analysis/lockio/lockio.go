@@ -6,12 +6,11 @@
 // every concurrent query behind one page miss, the exact bug class the
 // buffer pool is designed to avoid.
 //
-// The same discipline covers the serving layer: a dsks.DB query or
-// mutation entry point (Search*, Stream*, Insert, Remove) and every
-// dsks.View query method run network expansion and page I/O internally,
-// so holding any local latch — the server's result-cache mutex in
-// particular — across such a call stalls every concurrent request
-// behind one query.
+// The same discipline covers the serving layer: a dsks.DB mutation entry
+// point (Insert, Remove, ApplyShipped) and every dsks.View query method
+// run network expansion or page I/O internally, so holding any local
+// latch — the server's result-cache mutex in particular — across such a
+// call stalls every concurrent request behind one query.
 //
 // The MVCC read-view contract adds the inverse rule: view-scoped query
 // paths (methods on dsks.View) are latch-free by design — a view reads
@@ -66,7 +65,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "lockio",
 	Doc: "Page I/O (storage File read/write, BufferPool operations that " +
 		"can touch the file or sleep for IOLatency, landmark-oracle page " +
-		"reads, and dsks.DB/dsks.View query and mutation entry points) " +
+		"reads, and dsks.DB mutation entry points and dsks.View query methods) " +
 		"must not happen while a sync.Mutex/RWMutex acquired in the " +
 		"enclosing function is held; and view-scoped query paths " +
 		"(dsks.View methods) must acquire no latch at all — they read an " +
@@ -310,14 +309,14 @@ func blockingIO(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-// dbEntryPoint recognizes the dsks.DB query and mutation entry points
-// plus the dsks.View query methods: every Search*/Stream* method, Insert
-// and Remove on DB, and every query method on View runs network
-// expansion, page I/O and possibly the IOLatency sleep internally, so it
-// is as blocking as a raw page read. The serving layer's locking
-// discipline (never hold the result-cache latch across a query) hangs on
-// this classification. DB.View itself is exempt: opening a view is an
-// atomic root-set load plus an epoch pin and never blocks.
+// dbEntryPoint recognizes the dsks.DB mutation entry points and the
+// dsks.View query methods: Insert, Remove and ApplyShipped on DB, and
+// every query method on View, run network expansion, page I/O and
+// possibly the IOLatency sleep internally, so each is as blocking as a
+// raw page read. The serving layer's locking discipline (never hold the
+// result-cache latch across a query) hangs on this classification.
+// DB.View itself is exempt: opening a view is an atomic root-set load
+// plus an epoch pin and never blocks.
 func dbEntryPoint(fn *types.Func) (string, bool) {
 	if !analysis.InPackage(fn, "dsks") {
 		return "", false
@@ -325,9 +324,8 @@ func dbEntryPoint(fn *types.Func) (string, bool) {
 	name := fn.Name()
 	switch analysis.ReceiverTypeName(fn) {
 	case "DB":
-		switch {
-		case strings.HasPrefix(name, "Search"), strings.HasPrefix(name, "Stream"),
-			name == "Insert", name == "Remove", name == "ApplyShipped":
+		switch name {
+		case "Insert", "Remove", "ApplyShipped":
 			// ApplyShipped is the replication apply path: it takes the
 			// engine latch itself and re-runs the replay-path index
 			// mutation, so a replica loop must never call it under one.

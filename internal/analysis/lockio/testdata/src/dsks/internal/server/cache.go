@@ -1,5 +1,5 @@
 // Package server stubs the serving layer's result cache: a mutex-guarded
-// map filled from dsks.DB queries. Holding the cache latch across a query
+// map filled from dsks.View queries. Holding the cache latch across a query
 // stalls every concurrent request behind one network expansion.
 package server
 
@@ -16,22 +16,6 @@ type cache struct {
 	entries map[string][]byte
 }
 
-// BadFill runs the query while the cache latch is held: every other
-// request blocks on mu for the full duration of the search.
-func (c *cache) BadFill(ctx context.Context, key string, q dsks.DivQuery) (dsks.Result, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return dsks.Result{}, nil
-	}
-	res, err := c.db.SearchDiversifiedCtx(ctx, q) // want `lockio: database SearchDiversifiedCtx call while c.mu is held`
-	if err != nil {
-		return dsks.Result{}, err
-	}
-	c.entries[key] = nil
-	return res, nil
-}
-
 // BadInsert mutates the database under the cache latch; Insert takes the
 // DB write latch and runs index I/O, so this is just as blocking.
 func (c *cache) BadInsert(pos dsks.Position, terms []dsks.TermID) (dsks.ObjectID, error) {
@@ -39,25 +23,6 @@ func (c *cache) BadInsert(pos dsks.Position, terms []dsks.TermID) (dsks.ObjectID
 	defer c.mu.Unlock()
 	clear(c.entries)
 	return c.db.Insert(pos, terms) // want `lockio: database Insert call while c.mu is held`
-}
-
-// GoodFill checks the cache under the latch, releases it for the query,
-// and re-acquires it to store the result.
-func (c *cache) GoodFill(ctx context.Context, key string, q dsks.DivQuery) (dsks.Result, error) {
-	c.mu.Lock()
-	_, ok := c.entries[key]
-	c.mu.Unlock()
-	if ok {
-		return dsks.Result{}, nil
-	}
-	res, err := c.db.SearchDiversifiedCtx(ctx, q)
-	if err != nil {
-		return dsks.Result{}, err
-	}
-	c.mu.Lock()
-	c.entries[key] = nil
-	c.mu.Unlock()
-	return res, nil
 }
 
 // Version is a plain accessor, not a query entry point: clean under the

@@ -92,7 +92,9 @@ func (q *queryRequest) cacheKey() string {
 func canonFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 // parseQueryRequest reads a queryRequest from URL parameters (GET) or the
-// JSON body (POST) and normalizes the term list.
+// JSON body (POST) and normalizes the term list and the algorithm name
+// (upper-cased, empty meaning COM), so every spelling of one query shares
+// a cache entry.
 func parseQueryRequest(r *http.Request) (*queryRequest, error) {
 	q := &queryRequest{Lambda: 0.8, Alpha: 0.5}
 	switch r.Method {
@@ -109,6 +111,10 @@ func parseQueryRequest(r *http.Request) (*queryRequest, error) {
 		return nil, fmt.Errorf("method %s not allowed", r.Method)
 	}
 	q.Terms = obj.NormalizeTerms(q.Terms)
+	q.Algo = strings.ToUpper(q.Algo)
+	if q.Algo == "" {
+		q.Algo = string(dsks.AlgoCOM)
+	}
 	return q, nil
 }
 
@@ -453,12 +459,8 @@ func (s *Server) runDiversified(ctx context.Context, v QueryView, req *queryRequ
 	if err := q.Validate(); err != nil {
 		return nil, badRequest(err)
 	}
-	algo := dsks.AlgoCOM
-	switch strings.ToUpper(req.Algo) {
-	case "", "COM":
-	case "SEQ":
-		algo = dsks.AlgoSEQ
-	default:
+	algo := dsks.Algo(req.Algo)
+	if algo != dsks.AlgoCOM && algo != dsks.AlgoSEQ {
 		return nil, badRequest(fmt.Errorf("unknown algo %q (want COM or SEQ)", req.Algo))
 	}
 	res, err := v.SearchDiversified(ctx, algo, q)

@@ -80,9 +80,15 @@ func searchURL(q dsks.WorkloadQuery) string {
 func TestSearchEndpointMatchesLibrary(t *testing.T) {
 	db, ws := testDB(t)
 	h := New(db, Config{}).Handler()
+	ctx := context.Background()
+	v, err := db.View(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
 
 	for _, q := range ws[:4] {
-		want, err := db.Search(dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
+		want, err := v.Search(ctx, dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,6 +156,19 @@ func TestCacheHitAndMutationInvalidation(t *testing.T) {
 		t.Fatalf("second request: cache %q, want hit", rec.Header().Get("X-Dsks-Cache"))
 	}
 	first := rec.Body.String()
+
+	// Every spelling of the default diversified algorithm is one entry.
+	div := fmt.Sprintf("/v1/diversified?edge=%d&offset=%g&terms=%s&deltaMax=%g&k=3",
+		q.Pos.Edge, q.Pos.Offset, termsParam(q.Terms), q.DeltaMax)
+	for i, algo := range []string{"&algo=com", "&algo=COM", ""} {
+		want := "hit"
+		if i == 0 {
+			want = "miss"
+		}
+		if got := get(t, h, div+algo, nil).Header().Get("X-Dsks-Cache"); got != want {
+			t.Fatalf("diversified %q: cache %q, want %s", algo, got, want)
+		}
+	}
 
 	// A mutation bumps the DB version: the same query must miss the cache
 	// and recompute, observing the new object.

@@ -34,16 +34,17 @@ type Meta struct {
 	Errors  []ShardError `json:"shardErrors,omitempty"`
 }
 
-// MultiView is a pinned read view over every shard: one dsks.View per
-// shard, all pinned before the first result is read, so one request sees
-// one consistent per-shard LSN vector. Like dsks.View it serves exactly
-// one request at a time — methods must not be called concurrently on the
-// same MultiView.
 // srcPrimary marks a leg pinned on its shard's primary; non-negative
 // values are the index of the replica pinned instead (primary was
 // unpinnable at View time).
 const srcPrimary int8 = -1
 
+// MultiView is a pinned read view over every shard: one dsks.View per
+// shard, all pinned before the first result is read, so one request sees
+// one consistent per-shard LSN vector. Unlike dsks.View it serves one
+// request at a time: every query rewrites mv.meta (the execution record
+// Meta returns), so methods must not be called concurrently on the same
+// MultiView.
 type MultiView struct {
 	set   *Set
 	views []*dsks.View

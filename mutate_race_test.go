@@ -2,6 +2,7 @@ package dsks_test
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -10,11 +11,11 @@ import (
 )
 
 // TestMutationsRacingSearches is the serving-layer interleaving: Insert
-// and Remove racing SearchDiversifiedCtx (and the other one-shot query
-// families) from many goroutines. The database write latch must make
-// every query observe the index either entirely before or entirely after
-// each mutation — run with -race to exercise the synchronization. The
-// table covers every index kind that supports mutation.
+// and Remove racing diversified and boolean queries, each iteration on a
+// fresh view, from many goroutines. Every view must observe the index
+// either entirely before or entirely after each mutation — run with
+// -race to exercise the synchronization. The table covers every index
+// kind that supports mutation.
 func TestMutationsRacingSearches(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -47,7 +48,8 @@ func TestMutationsRacingSearches(t *testing.T) {
 				},
 				K: 4, Lambda: 0.7,
 			}
-			base, err := db.SearchDiversifiedCtx(context.Background(), query)
+			ctx := context.Background()
+			base, err := openView(t, db).SearchDiversified(ctx, query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,21 +70,25 @@ func TestMutationsRacingSearches(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < iterations; i++ {
-						res, err := db.SearchDiversifiedCtx(context.Background(), query)
+						v, err := db.View(ctx)
 						if err != nil {
 							errs <- err
 							return
 						}
+						res, err := v.SearchDiversified(ctx, query)
 						// Mutators only add/remove term-0 objects, so the
 						// candidate pool can only grow or shrink around the
 						// seeded base; a torn read would surface as a race
 						// report or a nonsensical result.
-						if len(res.Candidates) == 0 {
-							errs <- err
-							return
+						if err == nil && len(res.Candidates) == 0 {
+							err = errors.New("diversified query lost every seeded candidate")
 						}
-						// The boolean family shares the same latch.
-						if _, err := db.SearchCtx(context.Background(), query.SKQuery); err != nil {
+						// The boolean family reads the same snapshot.
+						if err == nil {
+							_, err = v.Search(ctx, query.SKQuery)
+						}
+						v.Close()
+						if err != nil {
 							errs <- err
 							return
 						}
@@ -121,7 +127,7 @@ func TestMutationsRacingSearches(t *testing.T) {
 				t.Fatalf("Version() = %d, want %d", got, want)
 			}
 			// The object set is back to the seed state.
-			after, err := db.SearchDiversifiedCtx(context.Background(), query)
+			after, err := openView(t, db).SearchDiversified(ctx, query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,6 +163,7 @@ func TestWALMutationsRacingSaveAndSearches(t *testing.T) {
 	snapDir := filepath.Join(tmp, "snap")
 
 	query := dsks.SKQuery{Pos: dsks.Position{Edge: 0, Offset: 0}, Terms: []dsks.TermID{0}, DeltaMax: 1e9}
+	ctx := context.Background()
 	const (
 		searchers  = 2
 		mutators   = 2
@@ -170,7 +177,14 @@ func TestWALMutationsRacingSaveAndSearches(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
-				if _, err := db.SearchCtx(context.Background(), query); err != nil {
+				v, err := db.View(ctx)
+				if err != nil {
+					errs <- err
+					return
+				}
+				_, err = v.Search(ctx, query)
+				v.Close()
+				if err != nil {
 					errs <- err
 					return
 				}
@@ -221,7 +235,12 @@ func TestWALMutationsRacingSaveAndSearches(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := db.LiveObjects()
-	base, err := db.Search(query)
+	v, err := db.View(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := v.Search(ctx, query)
+	v.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +255,12 @@ func TestWALMutationsRacingSaveAndSearches(t *testing.T) {
 	if got := back.LiveObjects(); got != want {
 		t.Fatalf("LiveObjects after restore = %d, want %d", got, want)
 	}
-	res, err := back.Search(query)
+	bv, err := back.View(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bv.Close()
+	res, err := bv.Search(ctx, query)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,66 +67,76 @@ func requireSameResult(t *testing.T, tag string, want, got dsks.Result) {
 	}
 }
 
-// checkOracleEquivalence replays one workload against both databases and
-// requires bit-identical answers from every query kind, including both
-// diversified algorithms.
-func checkOracleEquivalence(t *testing.T, phase string, base, assisted *dsks.DB, ws []dsks.WorkloadQuery) {
+// checkOracleEquivalence replays one workload against a view of each
+// database and requires bit-identical answers from every query kind,
+// including both diversified algorithms.
+func checkOracleEquivalence(t *testing.T, phase string, baseDB, assistedDB *dsks.DB, ws []dsks.WorkloadQuery) {
 	t.Helper()
 	ctx := context.Background()
+	base, err := baseDB.View(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	assisted, err := assistedDB.View(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer assisted.Close()
 	for qi, w := range ws {
 		skq := dsks.SKQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax}
 		dq := dsks.DivQuery{SKQuery: skq, K: 4, Lambda: 0.5}
 
 		for _, algo := range []dsks.Algo{dsks.AlgoSEQ, dsks.AlgoCOM} {
-			want, err := base.SearchDiversifiedWithCtx(ctx, algo, dq)
+			want, err := base.SearchDiversifiedWith(ctx, algo, dq)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := assisted.SearchDiversifiedWithCtx(ctx, algo, dq)
+			got, err := assisted.SearchDiversifiedWith(ctx, algo, dq)
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireSameResult(t, phase+": diversified "+string(algo)+" "+itoa(qi), want, got)
 		}
 
-		want, err := base.Search(skq)
+		want, err := base.Search(ctx, skq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := assisted.Search(skq)
+		got, err := assisted.Search(ctx, skq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireSameResult(t, phase+": search "+itoa(qi), want, got)
 
 		knn := dsks.KNNQuery{Pos: w.Pos, Terms: w.Terms, K: 5}
-		want, err = base.SearchKNN(knn)
+		want, err = base.SearchKNN(ctx, knn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = assisted.SearchKNN(knn)
+		got, err = assisted.SearchKNN(ctx, knn)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireSameResult(t, phase+": knn "+itoa(qi), want, got)
 
 		rq := dsks.RankedQuery{Pos: w.Pos, Terms: w.Terms, K: 5, Alpha: 0.5, DeltaMax: w.DeltaMax}
-		want, err = base.SearchRanked(rq)
+		want, err = base.SearchRanked(ctx, rq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = assisted.SearchRanked(rq)
+		got, err = assisted.SearchRanked(ctx, rq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireSameResult(t, phase+": ranked "+itoa(qi), want, got)
 
 		cq := dsks.CollectiveQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax}
-		want, err = base.SearchCollective(cq)
+		want, err = base.SearchCollective(ctx, cq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = assisted.SearchCollective(cq)
+		got, err = assisted.SearchCollective(ctx, cq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,9 +251,15 @@ func saveOracleSnap(t *testing.T) (string, []dsks.WorkloadQuery) {
 // payloads, for comparing a damaged-then-rebuilt reopen to a clean one.
 func divAnswers(t *testing.T, db *dsks.DB, ws []dsks.WorkloadQuery) []dsks.Result {
 	t.Helper()
+	ctx := context.Background()
+	v, err := db.View(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
 	out := make([]dsks.Result, len(ws))
 	for i, w := range ws {
-		res, err := db.SearchDiversified(dsks.DivQuery{
+		res, err := v.SearchDiversified(ctx, dsks.DivQuery{
 			SKQuery: dsks.SKQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax},
 			K:       4, Lambda: 0.5,
 		})

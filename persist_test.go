@@ -1,6 +1,7 @@
 package dsks_test
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -34,13 +35,15 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	}
 	// Object IDs are reassigned on load; compare candidate counts and
 	// distances.
+	ctx := context.Background()
+	orig, loaded := openView(t, db), openView(t, back)
 	for _, q := range ws {
 		skq := dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax}
-		a, err := db.Search(skq)
+		a, err := orig.Search(ctx, skq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := back.Search(skq)
+		b, err := loaded.Search(ctx, skq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +63,8 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 func TestSaveExcludesRemoved(t *testing.T) {
 	db, vocab, origin, _ := buildTinyCity(t)
 	terms, _ := vocab.LookupAll([]string{"pizza"})
-	before, err := db.Search(dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
+	ctx := context.Background()
+	before, err := openView(t, db).Search(ctx, dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +79,7 @@ func TestSaveExcludesRemoved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := back.Search(dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
+	after, err := openView(t, back).Search(ctx, dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package dsks
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -258,15 +260,10 @@ func (v *View) SearchCollective(ctx context.Context, q CollectiveQuery) (Result,
 	}, nil
 }
 
-// Stream starts an incremental boolean search against the view's snapshot.
-// The view must stay open for the stream's lifetime (the stream reads the
-// view's pinned pages); a stream obtained from DB.Stream instead owns a
-// private view and releases it itself.
+// Stream starts an incremental boolean search against the view's snapshot;
+// the context is checked on every Next. The view must stay open for the
+// stream's lifetime (the stream reads the view's pinned pages).
 func (v *View) Stream(ctx context.Context, q SKQuery) (*Stream, error) {
-	return v.stream(ctx, q, false)
-}
-
-func (v *View) stream(ctx context.Context, q SKQuery, own bool) (*Stream, error) {
 	if err := v.guard(q.Pos, q.Terms); err != nil {
 		return nil, err
 	}
@@ -276,20 +273,31 @@ func (v *View) stream(ctx context.Context, q SKQuery, own bool) (*Stream, error)
 	if err != nil {
 		return nil, err
 	}
-	st := &Stream{search: s, sys: v.db.sys, kind: v.db.kind, start: start, before: before}
-	if own {
-		st.view = v
-	}
-	return st, nil
+	return &Stream{search: s, sys: v.db.sys, kind: v.db.kind, start: start, before: before}, nil
 }
 
 // NetworkDistance returns the exact network distance between two
-// positions (the road network is immutable, so this is identical across
-// views; it lives on View so a view-scoped caller never needs the DB).
-// Unreachable pairs fail with an error matching ErrNoPath.
+// positions, computed in memory (the road network is immutable, so this
+// is identical across views). A pair no chain of road segments connects
+// fails with an error matching ErrNoPath, a done context with one matching
+// ErrCanceled or ErrDeadlineExceeded, and a position on an edge outside
+// the network with one matching ErrUnknownEdge.
 func (v *View) NetworkDistance(ctx context.Context, a, b Position) (float64, error) {
 	if v.closed.Load() {
 		return 0, ErrViewClosed
 	}
-	return v.db.NetworkDistanceCtx(ctx, a, b)
+	if err := core.CtxErr(ctx); err != nil {
+		return 0, err
+	}
+	g := v.db.sys.DS.Graph
+	for _, p := range [2]Position{a, b} {
+		if p.Edge < 0 || int(p.Edge) >= g.NumEdges() {
+			return 0, fmt.Errorf("dsks: network distance at edge %d: %w", p.Edge, ErrUnknownEdge)
+		}
+	}
+	d := g.NetworkDist(a, b)
+	if math.IsInf(d, 1) {
+		return 0, fmt.Errorf("dsks: network distance between edges %d and %d: %w", a.Edge, b.Edge, ErrNoPath)
+	}
+	return d, nil
 }

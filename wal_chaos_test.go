@@ -1,6 +1,7 @@
 package dsks
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -54,7 +55,13 @@ func searchIDs(t *testing.T, db *DB, vocab *Vocabulary, origin Position, word st
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Search(SKQuery{Pos: origin, Terms: terms, DeltaMax: 1000})
+	ctx := context.Background()
+	v, err := db.View(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	res, err := v.Search(ctx, SKQuery{Pos: origin, Terms: terms, DeltaMax: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dsks_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -106,13 +107,20 @@ func TestWALReplayMatchesPureInMemoryReplay(t *testing.T) {
 	// Every term, same origin: the candidate sets (IDs and network
 	// distances) must be identical.
 	origin := dsks.Position{Edge: 0, Offset: 0}
+	ctx := context.Background()
+	restoredView, err := restored.View(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restoredView.Close()
+	shadowView := openView(t, shadow)
 	for term := 0; term < vocab; term++ {
 		q := dsks.SKQuery{Pos: origin, Terms: []dsks.TermID{dsks.TermID(term)}, DeltaMax: 1e9}
-		a, err := restored.Search(q)
+		a, err := restoredView.Search(ctx, q)
 		if err != nil {
 			t.Fatalf("term %d: restored search: %v", term, err)
 		}
-		b, err := shadow.Search(q)
+		b, err := shadowView.Search(ctx, q)
 		if err != nil {
 			t.Fatalf("term %d: shadow search: %v", term, err)
 		}
